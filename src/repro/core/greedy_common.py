@@ -71,6 +71,17 @@ def canonical_keys(system) -> tuple[tuple, ...]:
     return keys
 
 
+def seed_canonical_keys(system, keys: tuple[tuple, ...]) -> None:
+    """Install keys a builder computed while constructing ``system``.
+
+    ``keys[set_id]`` must equal ``canonical_key(ws.label, ws.set_id)``;
+    the next :func:`canonical_keys` call then returns them without a
+    ``sort_key()`` pass. The cache holds the system weakly, so the keys
+    are dropped with it.
+    """
+    _CANON_CACHE[system] = keys
+
+
 def argbest(
     candidates: Iterable[K],
     key: Callable[[K], tuple],

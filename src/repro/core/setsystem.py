@@ -176,6 +176,18 @@ class SetSystem:
         return self
 
     def _validate(self) -> None:
+        # Fast path: one range check over the union of all benefits, at
+        # C speed. Per-set min/max costs more than the loop it replaces
+        # on the one- and two-element sets that dominate pattern
+        # systems. Any failure reruns the full loop below, so the error
+        # names the same set and element as always.
+        dense = all(
+            ws.set_id == expected_id
+            for expected_id, ws in enumerate(self._sets)
+        )
+        covered = set().union(*(ws.benefit for ws in self._sets))
+        if dense and (not covered or _within_universe(covered, self._n)):
+            return
         for expected_id, ws in enumerate(self._sets):
             if ws.set_id != expected_id:
                 raise ValidationError(
@@ -281,3 +293,17 @@ class SetSystem:
             )
         # Guard against float fuzz: 0.3 * 10 must require 3, not 4.
         return math.ceil(s_hat * self._n - 1e-9)
+
+
+def _within_universe(elements: set, n: int) -> bool:
+    """Whether every element satisfies ``0 <= element < n``.
+
+    ``min`` and ``max`` bound a set only under a total order, so a NaN
+    (which makes ``sum`` NaN) or an incomparable element sends the
+    caller to the per-element loop, which raises what it always raised.
+    """
+    try:
+        total = sum(elements)
+        return 0 <= min(elements) and max(elements) < n and total == total
+    except (TypeError, ArithmeticError):
+        return False

@@ -131,3 +131,37 @@ class TestSetSystem:
         system = SetSystem.from_iterables(0, [], [])
         assert system.n_elements == 0
         assert system.required_coverage(1.0) == 0
+
+
+class TestElementValidation:
+    """The range check over all benefits rejects exactly what a
+    per-element loop rejects, with the same message."""
+
+    def test_message_names_the_first_offending_set_and_element(self):
+        with pytest.raises(
+            ValidationError,
+            match=r"^set 1 covers element 7 outside universe \[0, 3\)$",
+        ):
+            SetSystem.from_iterables(3, [[0, 1], [2, 7], [-1]], [1.0] * 3)
+
+    def test_negative_element_rejected(self):
+        with pytest.raises(ValidationError, match="element -1 outside"):
+            SetSystem.from_iterables(3, [[], [0, -1]], [1.0, 1.0])
+
+    def test_nan_element_rejected_wherever_it_iterates(self):
+        # min/max alone can step over a NaN that is not iterated first.
+        for benefit in ([0, 2, math.nan], [math.nan, 0, 2]):
+            with pytest.raises(ValidationError, match="element nan"):
+                SetSystem.from_iterables(3, [benefit], [1.0])
+
+    def test_element_error_precedes_a_later_id_error(self):
+        sets = [
+            WeightedSet(set_id=0, benefit=frozenset({9}), cost=1.0),
+            WeightedSet(set_id=5, benefit=frozenset({0}), cost=1.0),
+        ]
+        with pytest.raises(ValidationError, match="set 0 covers element 9"):
+            SetSystem(3, sets)
+
+    def test_empty_benefits_and_in_range_floats_pass(self):
+        system = SetSystem.from_iterables(3, [[], [0, 2], [1.5]], [1.0] * 3)
+        assert system.n_sets == 3

@@ -69,3 +69,38 @@ class TestGeneralProperties:
     def test_empty_table(self):
         table = PatternTable(("A",), [])
         assert enumerate_nonempty_patterns(table) == {}
+
+
+class TestCountKernel:
+    """``count_nonempty_patterns`` groups coded rows instead of
+    enumerating benefit sets; it must count the same patterns."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_enumeration_on_random_tables(self, random_table, seed):
+        table = random_table(
+            n_rows=5 + 7 * seed, n_attributes=1 + seed % 4,
+            domain_size=2 + seed, seed=seed,
+        )
+        assert count_nonempty_patterns(table) == len(
+            enumerate_nonempty_patterns(table)
+        )
+
+    def test_counts_by_equality_not_repr(self):
+        # 1, 1.0 and True are one value; two NaN objects are two.
+        table = PatternTable(
+            ("A",), [(1,), (1.0,), (True,), (float("nan"),), (float("nan"),)]
+        )
+        assert count_nonempty_patterns(table) == len(
+            enumerate_nonempty_patterns(table)
+        ) == 4
+
+    def test_empty_table_counts_zero(self):
+        assert count_nonempty_patterns(PatternTable(("A",), [])) == 0
+
+    def test_too_many_attributes_rejected(self):
+        table = PatternTable(
+            attributes=[f"D{i}" for i in range(21)],
+            rows=[tuple("x" for _ in range(21))],
+        )
+        with pytest.raises(PatternSpaceError):
+            count_nonempty_patterns(table)
