@@ -9,12 +9,12 @@ committed baseline:
 * ``bench_fig5_datasize`` — CWSC and CMC swept across dataset sizes
   (the shape behind Fig. 5's runtime-vs-data-size curves).
 
-Each benchmark runs on every available marginal-tracker backend
-(``set``, ``bitset``, and — with numpy >= 2.0 — ``packed``; see
-:mod:`repro.core.marginal`), so the report also carries the
-cross-backend speedups per workload. Per-system caches (mask table,
-owners index, canonical keys, the columnar packed layout, CMC's sorted
-heap entries) are warmed *explicitly* before the first measurement of
+Each benchmark runs on both marginal-tracker backends (the ``set``
+reference oracle and the production ``packed`` kernel; see
+:mod:`repro.core.marginal`), so the report also carries the packed
+speedup over ``set`` per workload. Per-system caches (canonical keys,
+the columnar packed layout and ranks, CMC's sorted heap entries) are
+warmed *explicitly* before the first measurement of
 each workload (:func:`warm_system_caches`) — relying on ``warmup=1``
 left the first cell of every workload paying the cache builds, which
 showed up as a cold-run outlier in committed baselines. Timings then
@@ -23,8 +23,8 @@ the *median* is the comparison statistic, which makes single-run noise
 spikes harmless.
 
 Two scales beyond the CI pair probe the large-``n`` regime: ``large``
-(n = 10^5 LBL rows, ``bitset`` vs ``packed`` — the ``make bench-large``
-/ CI smoke workload) and ``xlarge`` (a synthetic n = 10^6 universe,
+(n = 10^5 LBL rows, ``packed`` only — the ``make bench-large`` / CI
+smoke workload) and ``xlarge`` (a synthetic n = 10^6 universe,
 packed-only, opt-in).
 
 Regression checking is tolerance-based, not exact: CI machines jitter,
@@ -123,7 +123,7 @@ _SCALES: dict[str, dict] = {
     "large": {
         "sizes": (100_000,),
         "solvers": ("cwsc", "cmc"),
-        "backends": ("bitset", "packed"),
+        "backends": ("packed",),
         "workloads": ("bench_table5_runtime",),
     },
     "xlarge": {
@@ -135,7 +135,7 @@ _SCALES: dict[str, dict] = {
     },
 }
 
-BACKENDS = ("set", "bitset", "packed")
+BACKENDS = ("set", "packed")
 
 #: Skip the LP lower bound above this size: one LP solve on the
 #: n = 10^5 instance costs more than the whole benchmark matrix, and the
@@ -274,11 +274,11 @@ def warm_system_caches(system: SetSystem, backends: Iterable[str]) -> None:
     Called once per workload instance before its first measurement.
     Warming used to lean on ``warmup=1``, but with ``warmup=0`` — or
     when a cache is shared across cells — the *first* cell of a workload
-    paid the mask-table/owners-index/canonical-key builds inside its
-    timed loop and showed up as a cold-run outlier in committed
-    baselines. The set is backend-aware: the packed columnar layout is
-    only built when a ``packed`` cell will run, and the Python-int mask
-    table only for ``set``/``bitset`` cells.
+    paid the layout/canonical-key builds inside its timed loop and
+    showed up as a cold-run outlier in committed baselines. The set is
+    backend-aware: the packed columnar layout is only built when a
+    ``packed`` cell will run; otherwise the Python-int mask table that
+    :meth:`SetSystem.coverage_of` falls back on is built instead.
     """
     backends = set(backends)
     from repro.core.cmc import _sorted_entries
@@ -286,16 +286,15 @@ def warm_system_caches(system: SetSystem, backends: Iterable[str]) -> None:
 
     canonical_keys(system)
     _sorted_entries(system)
-    if backends & {"set", "bitset"}:
-        from repro.core.bitset import mask_table, owners_index
-
-        mask_table(system)
-        owners_index(system)
     if "packed" in backends:
         from repro.core.packed import canonical_ranks, packed_layout
 
         packed_layout(system)
         canonical_ranks(system)
+    else:
+        from repro.core.bitset import mask_table
+
+        mask_table(system)
 
 
 def instance_lp_bound(system: SetSystem) -> float | None:
@@ -399,7 +398,7 @@ def run_benchmarks(
     ----------
     scale:
         ``"quick"`` (small sizes, CI smoke), ``"full"`` (paper sizes),
-        ``"large"`` (n = 10^5, bitset vs packed), or ``"xlarge"``
+        ``"large"`` (n = 10^5, packed only), or ``"xlarge"``
         (synthetic n = 10^6, packed only).
     repeat / warmup:
         Timed iterations per case / un-timed cache-warming iterations.
@@ -483,27 +482,21 @@ def run_benchmarks(
         "python": platform.python_version(),
         "benchmarks": benchmarks,
         "speedups": _speedups(cases, benchmarks),
-        "packed_speedups": _speedups(
-            cases, benchmarks, fast="packed", slow="bitset"
-        ),
     }
 
 
 def _speedups(
-    cases: list[BenchCase],
-    benchmarks: dict[str, dict],
-    fast: str = "bitset",
-    slow: str = "set",
+    cases: list[BenchCase], benchmarks: dict[str, dict]
 ) -> dict[str, float]:
-    """Cross-backend speedup (``slow`` median / ``fast`` median) per
-    workload; a workload missing either backend is skipped."""
+    """Packed speedup (``set`` median / ``packed`` median) per workload;
+    a workload missing either backend is skipped."""
     speedups: dict[str, float] = {}
     for case in cases:
-        if case.speedup_id in speedups or case.backend != fast:
+        if case.speedup_id in speedups or case.backend != "packed":
             continue
         fast_entry = benchmarks.get(case.bench_id)
         slow_entry = benchmarks.get(
-            BenchCase(case.workload, case.solver, case.n_rows, slow).bench_id
+            BenchCase(case.workload, case.solver, case.n_rows, "set").bench_id
         )
         if (
             fast_entry is None
@@ -648,7 +641,6 @@ def history_entry(report: dict, wall_time_unix: float | None = None) -> dict:
         "python": report.get("python"),
         "cells": cells,
         "speedups": report.get("speedups", {}),
-        "packed_speedups": report.get("packed_speedups", {}),
     }
 
 
@@ -677,13 +669,8 @@ def render_report(report: dict) -> str:
         )
     if report["speedups"]:
         lines.append("")
-        lines.append("bitset speedup over set backend (median/median):")
+        lines.append("packed speedup over set backend (median/median):")
         for speedup_id, ratio in report["speedups"].items():
-            lines.append(f"  {speedup_id:56s} {ratio:6.2f}x")
-    if report.get("packed_speedups"):
-        lines.append("")
-        lines.append("packed speedup over bitset backend (median/median):")
-        for speedup_id, ratio in report["packed_speedups"].items():
             lines.append(f"  {speedup_id:56s} {ratio:6.2f}x")
     quality_lines = []
     for bench_id, entry in report["benchmarks"].items():
@@ -732,12 +719,12 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--backend",
-        choices=("all", "both") + BACKENDS,
+        choices=("all",) + BACKENDS,
         default="all",
         help="marginal-tracker backend(s) to measure: 'all' (default) "
         "takes the scale's backend pool, skipping packed when numpy is "
-        "absent; 'both' is the legacy set+bitset pair; or one backend "
-        "by name (requesting packed without numpy >= 2.0 is an error)",
+        "absent; or one backend by name (requesting packed without "
+        "numpy >= 2.0 is an error)",
     )
     parser.add_argument(
         "--filter",
@@ -820,8 +807,6 @@ def run_from_args(args: argparse.Namespace) -> int:
     backend_arg = getattr(args, "backend", "all")
     if backend_arg == "all":
         backends = None
-    elif backend_arg == "both":
-        backends = ("set", "bitset")
     else:
         backends = (backend_arg,)
     report = run_benchmarks(

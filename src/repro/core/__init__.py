@@ -33,12 +33,7 @@ from repro.core.exact import brute_force, solve_exact
 from repro.core.fallbacks import greedy_partial, universal_result
 from repro.core.lp_bound import LPRelaxation, lp_lower_bound, solve_lp_relaxation
 from repro.core.lp_rounding import lp_rounding
-from repro.core.marginal import (
-    BitsetMarginalTracker,
-    MarginalTracker,
-    make_tracker,
-    resolve_backend,
-)
+from repro.core.marginal import MarginalTracker, make_tracker, resolve_backend
 from repro.core.postprocess import prune_redundant
 from repro.core.preprocess import remove_dominated, restrict_to_budget
 from repro.core.validate import verify_result
@@ -48,7 +43,6 @@ from repro.core.setsystem import SetSystem, WeightedSet
 __all__ = [
     "COVERAGE_DISCOUNT",
     "Bitset",
-    "BitsetMarginalTracker",
     "BitsetUniverse",
     "CoverResult",
     "LPRelaxation",

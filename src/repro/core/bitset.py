@@ -48,7 +48,6 @@ __all__ = [
     "MaskTable",
     "iter_bits",
     "mask_table",
-    "owners_index",
     "pack_elements",
 ]
 
@@ -252,11 +251,6 @@ class MaskTable:
 #: its masks. Systems are immutable, so a cached table never goes stale.
 _TABLE_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
-#: element -> tuple of owning set ids, cached per system (see
-#: :func:`owners_index`).
-_OWNERS_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def mask_table(system) -> MaskTable:
     """The (cached) :class:`MaskTable` of a set system.
 
@@ -282,30 +276,3 @@ def mask_table(system) -> MaskTable:
     except TypeError:  # pragma: no cover - stand-in objects only
         pass
     return table
-
-
-def owners_index(system) -> list[tuple[int, ...]]:
-    """``owners_index(system)[e]`` — ids of the sets covering element ``e``.
-
-    The inverted index the lazy-greedy trackers walk on every selection.
-    The per-element tracker builds it once per *tracker* (CMC: once per
-    budget round); this one is built once per *system* and shared, which
-    is where the bitset backend's restart cheapness comes from.
-    """
-    try:
-        owners = _OWNERS_CACHE.get(system)
-    except TypeError:
-        owners = None
-    if owners is not None:
-        return owners
-    buckets: list[list[int]] = [[] for _ in range(system.n_elements)]
-    for ws in system.sets:
-        set_id = ws.set_id
-        for element in ws.benefit:
-            buckets[element].append(set_id)
-    owners = [tuple(bucket) for bucket in buckets]
-    try:
-        _OWNERS_CACHE[system] = owners
-    except TypeError:  # pragma: no cover - stand-in objects only
-        pass
-    return owners

@@ -66,9 +66,9 @@ def cwsc(
         :class:`~repro.errors.DeadlineExceeded` with the best partial
         result attached.
     backend:
-        Marginal-tracker backend (``"set"``, ``"bitset"``, ``"auto"``);
-        defaults to the auto/env selection of
-        :func:`repro.core.marginal.resolve_backend`. All backends
+        Marginal-tracker backend (``"auto"``, ``"packed"``, ``"set"``);
+        ``None`` or ``"auto"`` gives the production ``packed`` kernel
+        (:func:`repro.core.marginal.resolve_backend`). Both backends
         select identical sets with identical metrics.
     tracker:
         Optional pre-built marginal tracker (overrides ``backend``);

@@ -20,7 +20,7 @@ import math
 import time
 
 from repro.core.greedy_common import gain_key
-from repro.core.marginal import make_tracker
+from repro.core.marginal import TrackerBackend, make_tracker
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
 from repro.errors import InfeasibleError, ValidationError
@@ -72,37 +72,42 @@ def universal_result(system: SetSystem, k: int, s_hat: float) -> CoverResult:
     )
 
 
-def greedy_partial(system: SetSystem, k: int, s_hat: float) -> CoverResult:
+def greedy_partial(
+    system: SetSystem,
+    k: int,
+    s_hat: float,
+    backend: TrackerBackend | None = None,
+) -> CoverResult:
     """Best-effort cover: up to ``k`` sets greedily by marginal gain.
 
     Never raises for valid parameters; the result's ``feasible`` flag
     reports whether the greedy selection happened to reach the coverage
     target. Tie-breaking matches the other greedy algorithms so partials
-    are deterministic.
+    are deterministic. Sets of infinite cost are never picked.
+    ``backend`` picks the marginal tracker
+    (:func:`repro.core.marginal.resolve_backend`); both give the same
+    picks and counters.
     """
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
     start = time.perf_counter()
     metrics = Metrics()
     required = system.required_coverage(s_hat)
-    tracker = make_tracker(system, metrics=metrics)
+    tracker = make_tracker(system, metrics=metrics, backend=backend)
+    # The packed tracker's vectorized argmax reproduces gain_key's order;
+    # the scan is the reference path for the set oracle.
+    fast_argmax = getattr(tracker, "best_gain_candidate", None)
     chosen: list[int] = []
     while len(chosen) < k and tracker.covered_count < required:
-        best_id = None
-        best_key = None
-        for set_id, size in tracker.live_items():
-            if not math.isfinite(system[set_id].cost):
-                continue
-            key = gain_key(
-                tracker.marginal_gain(set_id),
-                size,
-                system[set_id].cost,
-                system[set_id].label,
-                set_id,
-            )
-            if best_key is None or key > best_key:
-                best_id = set_id
-                best_key = key
+        if fast_argmax is not None:
+            best_id = fast_argmax(0)
+            # A live finite-cost set has positive gain and an infinite
+            # cost gives gain 0, so an infinite-cost argmax means no
+            # finite-cost candidate is left.
+            if best_id is not None and not math.isfinite(system[best_id].cost):
+                best_id = None
+        else:
+            best_id = _scan_finite(system, tracker)
         if best_id is None:
             break
         tracker.select(best_id)
@@ -120,3 +125,23 @@ def greedy_partial(system: SetSystem, k: int, s_hat: float) -> CoverResult:
         params={"k": k, "s_hat": s_hat},
         metrics=metrics,
     )
+
+
+def _scan_finite(system: SetSystem, tracker) -> int | None:
+    """Reference argmax: the live finite-cost set with the best gain key."""
+    best_id = None
+    best_key = None
+    for set_id, size in tracker.live_items():
+        if not math.isfinite(system[set_id].cost):
+            continue
+        key = gain_key(
+            tracker.marginal_gain(set_id),
+            size,
+            system[set_id].cost,
+            system[set_id].label,
+            set_id,
+        )
+        if best_key is None or key > best_key:
+            best_id = set_id
+            best_key = key
+    return best_id

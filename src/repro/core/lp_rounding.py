@@ -32,7 +32,7 @@ from repro.core.bitset import mask_table
 from repro.core.fallbacks import greedy_partial
 from repro.core.greedy_common import canonical_keys, gain_key
 from repro.core.lp_bound import solve_lp_relaxation
-from repro.core.marginal import make_tracker
+from repro.core.marginal import TrackerBackend, make_tracker
 from repro.core.result import CoverResult, Metrics, make_result
 from repro.core.setsystem import SetSystem
 from repro.errors import DeadlineExceeded, InfeasibleError, ValidationError
@@ -50,6 +50,7 @@ def lp_rounding(
     alpha: float = 2.0,
     seed: int = 0,
     deadline: Deadline | None = None,
+    backend: TrackerBackend | None = None,
 ) -> CoverResult:
     """Round the LP relaxation into an integral cover.
 
@@ -75,6 +76,10 @@ def lp_rounding(
         between trials, and inside the repair loop. On expiry the best
         repaired rounding so far (or a greedy best-effort partial) rides
         along on the :class:`~repro.errors.DeadlineExceeded`.
+    backend:
+        Marginal-tracker backend of the greedy repair and partials
+        (:func:`repro.core.marginal.resolve_backend`); both give the
+        same picks and counters.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
@@ -89,7 +94,8 @@ def lp_rounding(
         else obs_trace.NULL_SPAN
     ) as solve_span:
         result = _lp_rounding_body(
-            system, k, s_hat, trials, alpha, seed, deadline, traced
+            system, k, s_hat, trials, alpha, seed, deadline, traced,
+            backend,
         )
         if solve_span.enabled:
             solve_span.set(
@@ -110,14 +116,17 @@ def _lp_rounding_body(
     seed: int,
     deadline: Deadline | None,
     traced: bool,
+    backend: TrackerBackend | None,
 ) -> CoverResult:
     start = time.perf_counter()
     metrics = Metrics()
     required = system.required_coverage(s_hat)
-    if deadline is not None:
-        deadline.require(
-            "lp_rounding (before LP solve)",
-            partial=greedy_partial(system, k, s_hat),
+    # The greedy partial is only worth building once the deadline has
+    # actually passed.
+    if deadline is not None and deadline.expired():
+        raise DeadlineExceeded(
+            "lp_rounding (before LP solve): deadline expired",
+            partial=greedy_partial(system, k, s_hat, backend=backend),
         )
     relaxation = solve_lp_relaxation(system, k, s_hat)
     rng = np.random.default_rng(seed)
@@ -144,7 +153,7 @@ def _lp_rounding_body(
                 params={"k": k, "s_hat": s_hat, "seed": seed},
                 metrics=metrics,
             )
-        return greedy_partial(system, k, s_hat)
+        return greedy_partial(system, k, s_hat, backend=backend)
 
     best: tuple[float, list[int]] | None = None
     size_violations = 0
@@ -161,7 +170,9 @@ def _lp_rounding_body(
             if included
         ]
         try:
-            chosen = _repair(system, chosen, required, metrics, deadline)
+            chosen = _repair(
+                system, chosen, required, metrics, deadline, backend
+            )
         except _RepairDeadline:
             raise DeadlineExceeded(
                 "lp_rounding: deadline expired during greedy repair",
@@ -187,7 +198,7 @@ def _lp_rounding_body(
         raise InfeasibleError(
             "lp_rounding: no trial could be repaired to the coverage "
             "target (the union of all sets is too small)",
-            partial=greedy_partial(system, k, s_hat),
+            partial=greedy_partial(system, k, s_hat, backend=backend),
         )
     cost, chosen = best
     return make_result(
@@ -221,6 +232,7 @@ def _repair(
     required: int,
     metrics: Metrics,
     deadline: Deadline | None = None,
+    backend: TrackerBackend | None = None,
 ) -> list[int] | None:
     """Greedily extend a rounding until it reaches the coverage target.
 
@@ -233,38 +245,52 @@ def _repair(
     if mask_table(system).coverage_of(chosen) >= required:
         return list(chosen)
 
-    tracker = make_tracker(system, metrics=metrics)
-    canon_keys = canonical_keys(system)
+    tracker = make_tracker(system, metrics=metrics, backend=backend)
     for set_id in chosen:
         tracker.select(set_id)
+    # The packed tracker's vectorized argmax reproduces gain_key's order;
+    # the scan is the reference path for the set oracle.
+    fast_argmax = getattr(tracker, "best_gain_candidate", None)
+    canon_keys = canonical_keys(system) if fast_argmax is None else None
     repaired = list(chosen)
-    sets = system.sets
     while tracker.covered_count < required:
-        best_id = None
-        best_key = None
-        for set_id, size in tracker.live_items():
+        if fast_argmax is not None:
             if deadline is not None and deadline.poll():
                 raise _RepairDeadline()
-            ws = sets[set_id]
-            cost = ws.cost
-            gain = size / cost if cost else float("inf")
-            if best_key is not None and gain < best_key[0]:
-                # gain leads the lexicographic key; strictly smaller
-                # cannot win, so skip building the full key.
-                continue
-            key = gain_key(
-                gain,
-                size,
-                cost,
-                ws.label,
-                set_id,
-                canon_key=canon_keys[set_id],
-            )
-            if best_key is None or key > best_key:
-                best_id = set_id
-                best_key = key
+            best_id = fast_argmax(0)
+        else:
+            best_id = _scan_gain(system, tracker, canon_keys, deadline)
         if best_id is None:
             return None
         tracker.select(best_id)
         repaired.append(best_id)
     return repaired
+
+
+def _scan_gain(system: SetSystem, tracker, canon_keys, deadline) -> int | None:
+    """Reference argmax: the live set with the best gain key."""
+    best_id = None
+    best_key = None
+    sets = system.sets
+    for set_id, size in tracker.live_items():
+        if deadline is not None and deadline.poll():
+            raise _RepairDeadline()
+        ws = sets[set_id]
+        cost = ws.cost
+        gain = size / cost if cost else float("inf")
+        if best_key is not None and gain < best_key[0]:
+            # gain leads the lexicographic key; strictly smaller
+            # cannot win, so skip building the full key.
+            continue
+        key = gain_key(
+            gain,
+            size,
+            cost,
+            ws.label,
+            set_id,
+            canon_key=canon_keys[set_id],
+        )
+        if best_key is None or key > best_key:
+            best_id = set_id
+            best_key = key
+    return best_id

@@ -1,15 +1,14 @@
-"""Columnar packed coverage kernel (numpy ``uint64``) — the third backend.
+"""Columnar packed coverage kernel (numpy ``uint64``), the production backend.
 
-The big-int bitset kernel (:mod:`repro.core.bitset`) wins by packing one
-set's elements into one arbitrary-precision integer, but every *sweep*
-over candidates is still a Python loop: one ``&``/``bit_count`` pair per
-live set. Past ~10\\ :sup:`4` elements that loop dominates. This module
-goes one layer lower: the whole system becomes a columnar
-``(n_sets, ceil(n/64))`` matrix of ``uint64`` words, stored dense when
-small enough and CSR-blocked by density otherwise (only a set's nonzero
-words are kept), so a selection updates *every* live marginal with a
-handful of vectorized gather / AND / ``np.bitwise_count`` / ``bincount``
-passes — no per-set Python at all.
+Packing one set's elements into one arbitrary-precision integer still
+leaves every *sweep* over candidates as a Python loop: one
+``&``/``bit_count`` pair per live set. This module goes one layer lower:
+the whole system becomes a columnar ``(n_sets, ceil(n/64))`` matrix of
+``uint64`` words, stored dense when small enough and CSR-blocked by
+density otherwise (only a set's nonzero words are kept), so a selection
+updates *every* live marginal with a handful of vectorized gather / AND
+/ ``np.bitwise_count`` / ``bincount`` passes — no per-set Python at all.
+:func:`repro.core.marginal.resolve_backend` picks it on every system.
 
 Three layers:
 
@@ -26,23 +25,23 @@ Three layers:
 * :class:`PackedMarginalTracker` — the drop-in tracker
   (:func:`repro.core.marginal.make_tracker` backend ``"packed"``): same
   API, same selections, same :class:`~repro.core.result.Metrics`
-  counters as the ``set`` and ``bitset`` backends, property-tested in
+  counters as the ``set`` reference oracle, property-tested in
   ``tests/property/test_props_bitset.py``.
 * :class:`VectorSelectMixin` — vectorized argmax helpers
-  (:meth:`~VectorSelectMixin.best_gain_candidate` for CWSC's
-  threshold/gain selection, :meth:`~VectorSelectMixin.best_benefit_in`
+  (:meth:`~VectorSelectMixin.best_gain_candidate` for the gain-greedy
+  selections of CWSC, the greedy partial and the LP-rounding repair,
+  :meth:`~VectorSelectMixin.best_benefit_in`
   for CMC's per-level selection) that reproduce the exact lexicographic
   tie-breaks of :mod:`repro.core.greedy_common`, shared with the
   parent-side sharded tracker.
 
-numpy is optional: everything degrades behind :data:`HAVE_NUMPY`
-(``np.bitwise_count`` requires numpy >= 2.0), and requesting the packed
-backend without it raises
-:class:`~repro.errors.ValidationError` instead of importing lazily and
-crashing mid-solve.
+The package requires numpy >= 2.0 (``np.bitwise_count``);
+:data:`HAVE_NUMPY` still guards the import, so an older numpy makes the
+packed backend raise :class:`~repro.errors.ValidationError` up front
+instead of crashing mid-solve.
 
 Nothing here imports :mod:`repro.core.setsystem` — builders duck-type
-``system.n_elements`` / ``system.sets`` exactly like the bitset kernel —
+``system.n_elements`` / ``system.sets`` exactly like the mask table —
 so :meth:`SetSystem.coverage_of` can consult :func:`cached_layout`
 without an import cycle.
 """
@@ -91,7 +90,7 @@ def _require_numpy(what: str) -> None:
     if not HAVE_NUMPY:
         raise ValidationError(
             f"{what} requires numpy >= 2.0 (np.bitwise_count); "
-            "install numpy or use the 'set'/'bitset' backends"
+            "install numpy >= 2.0 or use the 'set' backend"
         )
 
 
@@ -357,7 +356,7 @@ class PackedLayout:
 
 
 # ----------------------------------------------------------------------
-# Per-system caches (the weak-cache idiom of bitset.py / greedy_common)
+# Per-system caches (the weak-cache idiom of greedy_common)
 # ----------------------------------------------------------------------
 _LAYOUT_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _SHARD_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -565,11 +564,11 @@ class VectorSelectMixin:
 # The tracker
 # ----------------------------------------------------------------------
 class PackedMarginalTracker(VectorSelectMixin):
-    """Columnar drop-in for the ``set``/``bitset`` marginal trackers.
+    """Columnar drop-in for the ``set`` marginal tracker.
 
     Same API, same selections, same metrics counters
     (``marginal_updates`` counts, for every live candidate, the exact
-    ``|newly & Ben(candidate)|`` decrement — the invariant all three
+    ``|newly & Ben(candidate)|`` decrement — the invariant both
     backends share). ``layout`` lets the sharded pool substitute a
     shard-restricted layout; set ids and costs stay global either way.
     """

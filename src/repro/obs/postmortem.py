@@ -99,12 +99,12 @@ def build_info() -> dict[str, str]:
     import platform
 
     from repro import __version__
-    from repro.core.marginal import BACKEND_ENV_VAR
+    from repro.core.marginal import PRODUCTION_BACKEND
 
     return {
         "version": __version__,
         "python": platform.python_version(),
-        "backend": os.environ.get(BACKEND_ENV_VAR, "").strip() or "auto",
+        "backend": PRODUCTION_BACKEND,
     }
 
 

@@ -295,9 +295,9 @@ def resilient_solve(
         only; rejected inline, where it cannot be enforced).
     backend:
         Default marginal-tracker backend for the greedy stages
-        (``"set"``, ``"bitset"``, ``"packed"``, ``"auto"``); an
-        explicit per-stage ``stage_options`` entry wins. ``None``
-        leaves each stage to the usual env/auto resolution.
+        (``"set"``, ``"packed"``, ``"auto"``); an explicit per-stage
+        ``stage_options`` entry wins. ``None`` leaves each stage on the
+        production ``packed`` kernel.
     shards:
         When set (>= 1), the greedy stages (cwsc/cmc/cmc_epsilon) run
         universe-sharded across that many shard workers

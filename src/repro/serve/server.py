@@ -120,16 +120,21 @@ def build_solve_request(
     options = payload.get("options")
     # Top-level backend/shard knobs (documented in docs/SERVING.md) are
     # sugar for the matching resilient_solve options; an explicit
-    # options entry wins.
-    backend = payload.get("backend")
-    if backend is not None:
-        from repro.core.marginal import KNOWN_BACKENDS
+    # options entry wins. Both spellings are checked here, so a bad
+    # backend is a 400 before any worker runs.
+    from repro.core.marginal import KNOWN_BACKENDS
 
-        if backend not in KNOWN_BACKENDS:
+    backend = payload.get("backend")
+    for field, value in (
+        ("backend", backend),
+        ("options.backend", (options or {}).get("backend")),
+    ):
+        if value is not None and value not in KNOWN_BACKENDS:
             raise ValidationError(
-                f"'backend' must be one of {', '.join(KNOWN_BACKENDS)}, "
-                f"got {backend!r}"
+                f"'{field}' must be one of {', '.join(KNOWN_BACKENDS)}, "
+                f"got {value!r}"
             )
+    if backend is not None:
         options = dict(options or {})
         options.setdefault("backend", backend)
     shards = payload.get("shards")

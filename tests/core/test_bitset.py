@@ -7,18 +7,10 @@ from repro.core.bitset import (
     BitsetUniverse,
     iter_bits,
     mask_table,
-    owners_index,
     pack_elements,
 )
-from repro.core.marginal import (
-    AUTO_BITSET_MIN_CELLS,
-    BACKEND_ENV_VAR,
-    BitsetMarginalTracker,
-    MarginalTracker,
-    make_tracker,
-    resolve_backend,
-)
-from repro.core.result import Metrics
+from repro.core.marginal import MarginalTracker, make_tracker, resolve_backend
+from repro.core.packed import PackedMarginalTracker
 from repro.core.setsystem import SetSystem
 from repro.errors import ValidationError
 
@@ -126,89 +118,26 @@ class TestMaskTable:
         assert table.full_union() == table.union_mask(range(system.n_sets))
         assert table.full_union() is table.full_union()
 
-    def test_owners_index(self, system):
-        owners = owners_index(system)
-        assert owners[2] == (0, 1, 4)
-        assert owners[4] == (2, 4)
-        assert owners_index(system) is owners
-
-
-class TestBitsetTracker:
-    def test_mirrors_set_tracker(self, system):
-        bitset_tracker = BitsetMarginalTracker(system)
-        set_tracker = MarginalTracker(system)
-        assert bitset_tracker.live_ids == set_tracker.live_ids
-        assert bitset_tracker.select(1) == set_tracker.select(1)
-        assert bitset_tracker.covered == set_tracker.covered
-        assert dict(bitset_tracker.live_items()) == dict(
-            set_tracker.live_items()
-        )
-        assert bitset_tracker.marginal_benefit(0) == frozenset({0, 1})
-
-    def test_select_evicted_returns_zero(self, system):
-        tracker = BitsetMarginalTracker(system)
-        tracker.select(4)  # covers everything; all others evicted
-        assert len(tracker) == 0
-        assert tracker.select(0) == 0
-        assert tracker.covered_count == 5
-
-    def test_exhaustion_counts_match_set_backend(self, system):
-        """Selecting the full-cover set exercises the exhaustion fast
-        path; its update total must equal the per-element walk's."""
-        bitset_metrics, set_metrics = Metrics(), Metrics()
-        BitsetMarginalTracker(system, metrics=bitset_metrics).select(4)
-        MarginalTracker(system, metrics=set_metrics).select(4)
-        assert (
-            bitset_metrics.marginal_updates == set_metrics.marginal_updates
-        )
-
-    def test_restrict_to(self, system):
-        tracker = BitsetMarginalTracker(system, restrict_to=[0, 1, 3])
-        assert tracker.live_ids == [0, 1]
-
-    def test_drop_and_reset(self, system):
-        tracker = BitsetMarginalTracker(system)
-        tracker.drop(0)
-        assert 0 not in tracker
-        tracker.reset()
-        assert 0 in tracker and tracker.covered_count == 0
-
-    def test_covered_mask_property(self, system):
-        tracker = BitsetMarginalTracker(system)
-        tracker.select(1)
-        assert tracker.covered_mask == pack_elements(5, {2, 3})
-
 
 class TestBackendResolution:
-    def test_explicit_argument_wins(self, system, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bitset")
+    def test_explicit_argument_wins(self, system):
         assert resolve_backend(system, "set") == "set"
+        assert resolve_backend(system, "packed") == "packed"
 
-    def test_env_overrides_auto(self, system, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "bitset")
-        assert resolve_backend(system) == "bitset"
+    def test_auto_by_instance_size(self, system):
+        """``auto`` is packed whatever the instance size."""
+        big = SetSystem.from_iterables(1 << 16, benefits=[{0}], costs=[1.0])
+        for instance in (system, big):
+            assert resolve_backend(instance) == "packed"
+            assert resolve_backend(instance, "auto") == "packed"
 
-    def test_auto_by_instance_size(self, system, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert system.n_elements * system.n_sets < AUTO_BITSET_MIN_CELLS
-        assert resolve_backend(system) == "set"
-        big = SetSystem.from_iterables(
-            AUTO_BITSET_MIN_CELLS, benefits=[{0}], costs=[1.0]
-        )
-        assert resolve_backend(big) == "bitset"
+    def test_unknown_backend_rejected(self, system):
+        for name in ("quantum", "bitset"):
+            with pytest.raises(ValidationError):
+                resolve_backend(system, name)
 
-    def test_unknown_backend_rejected(self, system, monkeypatch):
-        with pytest.raises(ValidationError):
-            resolve_backend(system, "quantum")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "quantum")
-        with pytest.raises(ValidationError):
-            resolve_backend(system)
-
-    def test_make_tracker_types(self, system, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_make_tracker_types(self, system):
         assert isinstance(
             make_tracker(system, backend="set"), MarginalTracker
         )
-        assert isinstance(
-            make_tracker(system, backend="bitset"), BitsetMarginalTracker
-        )
+        assert isinstance(make_tracker(system), PackedMarginalTracker)

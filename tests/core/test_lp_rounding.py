@@ -1,12 +1,20 @@
 """Unit tests for the randomized LP rounding strawman (Section III)."""
 
+import importlib
+
 import pytest
 
 from repro.core.cwsc import cwsc
+from repro.core.fallbacks import greedy_partial
 from repro.core.lp_bound import solve_lp_relaxation
 from repro.core.lp_rounding import lp_rounding
 from repro.core.setsystem import SetSystem
-from repro.errors import InfeasibleError, ValidationError
+from repro.errors import DeadlineExceeded, InfeasibleError, ValidationError
+from repro.resilience import Deadline
+
+#: The module itself: the package re-exports the function under the
+#: module's name, so attribute access finds the function.
+lp_rounding_module = importlib.import_module("repro.core.lp_rounding")
 
 
 class TestRelaxation:
@@ -79,3 +87,40 @@ class TestRounding:
             lp_rounding(random_system(), 2, 0.5, trials=0)
         with pytest.raises(ValidationError):
             lp_rounding(random_system(), 2, 0.5, alpha=0.0)
+
+
+class TestDeadlinePartial:
+    """The greedy partial is built only once the deadline has expired."""
+
+    def test_unexpired_deadline_builds_no_partial(
+        self, random_system, monkeypatch
+    ):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return greedy_partial(*args, **kwargs)
+
+        monkeypatch.setattr(lp_rounding_module, "greedy_partial", counting)
+        system = random_system(n_elements=30, n_sets=20)
+        timed = lp_rounding(
+            system, k=5, s_hat=0.8, deadline=Deadline.after(60.0)
+        )
+        assert calls == []
+        plain = lp_rounding(system, k=5, s_hat=0.8)
+        assert timed.set_ids == plain.set_ids
+
+    def test_expired_deadline_carries_the_greedy_partial(
+        self, random_system
+    ):
+        system = random_system(n_elements=30, n_sets=20)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            lp_rounding(system, k=5, s_hat=0.8, deadline=Deadline.after(0.0))
+        assert "before LP solve" in str(excinfo.value)
+        partial = excinfo.value.partial
+        expected = greedy_partial(system, 5, 0.8)
+        assert partial.set_ids == expected.set_ids
+        assert partial.total_cost == expected.total_cost
+        assert partial.metrics.marginal_updates == (
+            expected.metrics.marginal_updates
+        )

@@ -1,18 +1,12 @@
 """Unit tests for the packed columnar kernel (:mod:`repro.core.packed`)
-and the three-way backend registry in :mod:`repro.core.marginal`."""
+and the backend registry in :mod:`repro.core.marginal`."""
 
 import random
 
 import pytest
 
 from repro.core.bitset import mask_table
-from repro.core.marginal import (
-    AUTO_BITSET_MIN_CELLS,
-    AUTO_PACKED_MIN_CELLS,
-    BACKEND_ENV_VAR,
-    make_tracker,
-    resolve_backend,
-)
+from repro.core.marginal import MarginalTracker, resolve_backend
 from repro.core.packed import HAVE_NUMPY
 from repro.core.result import Metrics
 from repro.core.setsystem import SetSystem
@@ -160,6 +154,55 @@ class TestAssignLevels:
             assert level == (-1 if expected is None else expected)
 
 
+class TestPackedTracker:
+    @pytest.fixture
+    def small(self) -> SetSystem:
+        return SetSystem.from_iterables(
+            5,
+            benefits=[{0, 1, 2}, {2, 3}, {3, 4}, set(), {0, 1, 2, 3, 4}],
+            costs=[3.0, 2.0, 2.0, 1.0, 10.0],
+        )
+
+    def test_mirrors_set_tracker(self, small):
+        packed_tracker = PackedMarginalTracker(small)
+        set_tracker = MarginalTracker(small)
+        assert packed_tracker.live_ids == set_tracker.live_ids
+        assert packed_tracker.select(1) == set_tracker.select(1)
+        assert packed_tracker.covered == set_tracker.covered
+        assert dict(packed_tracker.live_items()) == dict(
+            set_tracker.live_items()
+        )
+        assert packed_tracker.marginal_benefit(0) == frozenset({0, 1})
+
+    def test_select_evicted_returns_zero(self, small):
+        tracker = PackedMarginalTracker(small)
+        tracker.select(4)  # covers everything; all others evicted
+        assert len(tracker) == 0
+        assert tracker.select(0) == 0
+        assert tracker.covered_count == 5
+
+    def test_exhaustion_counts_match_set_backend(self, small):
+        """Selecting the full-cover set evicts every candidate at once;
+        its update total must equal the per-element walk's."""
+        packed_metrics, set_metrics = Metrics(), Metrics()
+        PackedMarginalTracker(small, metrics=packed_metrics).select(4)
+        MarginalTracker(small, metrics=set_metrics).select(4)
+        assert (
+            packed_metrics.marginal_updates == set_metrics.marginal_updates
+        )
+
+    def test_restrict_to(self, small):
+        tracker = PackedMarginalTracker(small, restrict_to=[0, 1, 3])
+        assert tracker.live_ids == [0, 1]
+
+    def test_drop_and_reset(self, small):
+        tracker = PackedMarginalTracker(small)
+        tracker.drop(0)
+        assert 0 not in tracker
+        tracker.reset()
+        assert 0 in tracker and tracker.covered_count == 0
+
+
 class TestSelectWithDeltas:
     def test_deltas_mirror_tracker_state(self, system):
         tracker = PackedMarginalTracker(system)
@@ -181,46 +224,24 @@ class TestResolveBackend:
             costs=[1.0] * n_sets,
         )
 
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "set")
-        system = self._sized_system(1)
-        assert resolve_backend(system, "packed") == "packed"
-
-    def test_env_wins_over_auto(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "packed")
-        system = self._sized_system(1)  # auto would say "set"
-        assert resolve_backend(system) == "packed"
-        tracker = make_tracker(system, metrics=Metrics())
-        assert tracker.backend_name == "packed"
+    # The three auto tests keep the names of the old size tiers (set below
+    # 2^16 cells, bitset below 2^24, packed above); auto now resolves to
+    # the one production kernel in every tier.
 
     def test_auto_small_picks_set(self):
         system = SetSystem.from_iterables(
             4, benefits=[{0, 1}, {2, 3}], costs=[1.0, 1.0]
         )
-        assert resolve_backend(system) == "set"
-
-    def test_auto_mid_picks_bitset(self):
-        system = self._sized_system(AUTO_BITSET_MIN_CELLS)
-        assert system.n_elements * system.n_sets < AUTO_PACKED_MIN_CELLS
-        assert resolve_backend(system) == "bitset"
-
-    def test_auto_large_picks_packed(self):
-        system = self._sized_system(AUTO_PACKED_MIN_CELLS)
         assert resolve_backend(system) == "packed"
 
-    def test_auto_large_respects_memory_budget(self, monkeypatch):
-        import repro.core.marginal as marginal
+    def test_auto_mid_picks_bitset(self):
+        system = self._sized_system(1 << 16)
+        assert system.n_elements * system.n_sets < 1 << 24
+        assert resolve_backend(system) == "packed"
 
-        system = self._sized_system(AUTO_PACKED_MIN_CELLS)
-        monkeypatch.setattr(
-            marginal, "_available_memory_bytes", lambda: 1024
-        )
-        assert resolve_backend(system) == "bitset"
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(ValidationError):
-            resolve_backend(self._sized_system(1))
+    def test_auto_large_picks_packed(self):
+        system = self._sized_system(1 << 24)
+        assert resolve_backend(system) == "packed"
 
     def test_packed_without_numpy_is_an_error(self, monkeypatch):
         import repro.core.packed as packed

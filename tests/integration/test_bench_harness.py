@@ -69,7 +69,7 @@ class TestRunBenchmarks:
         """The report itself witnesses backend equivalence: same
         solution cost/coverage from both backends on every workload."""
         for case in default_cases("quick", sizes=TINY):
-            if case.backend != "bitset":
+            if case.backend != "packed":
                 continue
             twin = BenchCase(case.workload, case.solver, case.n_rows, "set")
             fast = tiny_report["benchmarks"][case.bench_id]
@@ -84,11 +84,11 @@ class TestRunBenchmarks:
             warmup=0,
             sizes=TINY,
             name_filter="cwsc",
-            backends=("bitset",),
+            backends=("packed",),
         )
         assert report["benchmarks"]
         for bench_id in report["benchmarks"]:
-            assert "cwsc" in bench_id and "bitset" in bench_id
+            assert "cwsc" in bench_id and "packed" in bench_id
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValidationError):
@@ -97,6 +97,8 @@ class TestRunBenchmarks:
             run_benchmarks(warmup=-1)
         with pytest.raises(ValidationError):
             run_benchmarks(backends=("frozenset",))
+        with pytest.raises(ValidationError):
+            run_benchmarks(backends=("bitset",))
 
     def test_render_report_mentions_every_benchmark(self, tiny_report):
         text = render_report(tiny_report)
@@ -246,7 +248,7 @@ class TestQualityGate:
         "--warmup",
         "0",
         "--filter",
-        "cwsc-n600-bitset",
+        "cwsc-n600-packed",
         "--no-history",
         "--tolerance",
         "1000",
@@ -262,7 +264,7 @@ class TestQualityGate:
         baseline = tmp_path / "baseline.json"
         assert main(self.ARGV + ["--out", str(baseline)]) == 0
         base_quality = json.loads(baseline.read_text())["benchmarks"][
-            "bench_fig5_datasize[cwsc-n600-bitset]"
+            "bench_fig5_datasize[cwsc-n600-packed]"
         ]["quality"]
         if base_quality["approx_ratio"] is None:
             pytest.skip("LP lower bound unavailable (no scipy)")
@@ -306,7 +308,7 @@ class TestCli:
             "--warmup",
             "0",
             "--filter",
-            "cwsc-n600-bitset",
+            "cwsc-n600-packed",
             "--history",
             str(history),
             "--out",
@@ -344,7 +346,7 @@ class TestCli:
                 "--warmup",
                 "0",
                 "--filter",
-                "cwsc-n600-bitset",
+                "cwsc-n600-packed",
                 "--out",
                 "-",
                 "--no-history",
@@ -368,7 +370,7 @@ class TestCli:
                 "--warmup",
                 "0",
                 "--filter",
-                "cwsc-n600-bitset",
+                "cwsc-n600-packed",
                 "--history",
                 str(tmp_path / "history.jsonl"),
                 "--out",

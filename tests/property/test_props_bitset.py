@@ -1,15 +1,16 @@
-"""Property-based backend equivalence across every marginal tracker.
+"""Property-based backend equivalence: packed kernel vs set oracle.
 
-The bitset tracker (:mod:`repro.core.bitset`,
-:class:`repro.core.marginal.BitsetMarginalTracker`) and the numpy
-columnar tracker (:mod:`repro.core.packed`, included automatically when
-numpy >= 2.0 is importable) are pure representation changes: every
-solver must select the same sets, report the same costs/coverage, and
-account the same metrics counters on every backend. We assert this over
-random set systems for CWSC, CMC, and the CMC-(1+eps)k variant, and
-that the mask-based ``remove_dominated`` keeps exactly the survivors of
-the frozenset dominance predicate.
+The numpy columnar tracker (:mod:`repro.core.packed`, the production
+kernel) is a pure representation change over the reference
+:class:`repro.core.marginal.MarginalTracker`: every solver must select
+the same sets, report the same costs/coverage, and account the same
+metrics counters on both backends. We assert this over random set
+systems for CWSC, CMC, the CMC-(1+eps)k variant, the greedy partial and
+seeded LP rounding, and that the mask-based ``remove_dominated`` keeps
+exactly the survivors of the frozenset dominance predicate.
 """
+
+import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,19 +18,37 @@ from hypothesis import strategies as st
 from repro.core.cmc import cmc
 from repro.core.cmc_epsilon import cmc_epsilon
 from repro.core.cwsc import cwsc
-from repro.core.marginal import BitsetMarginalTracker, MarginalTracker
-from repro.core.packed import HAVE_NUMPY
+from repro.core.fallbacks import greedy_partial
+from repro.core.lp_rounding import lp_rounding
+from repro.core.marginal import MarginalTracker
+from repro.core.packed import PackedMarginalTracker
 from repro.core.preprocess import remove_dominated
 from repro.core.result import Metrics
+from repro.core.setsystem import SetSystem
 
 from tests.property.strategies import set_systems
 
 ks = st.integers(1, 4)
 fractions = st.floats(min_value=0.0, max_value=1.0)
 
-#: Every backend the host can run; packed requires numpy >= 2.0
-#: (``np.bitwise_count``), so it drops out rather than failing there.
-EQUIV_BACKENDS = ("set", "bitset") + (("packed",) if HAVE_NUMPY else ())
+EQUIV_BACKENDS = ("set", "packed")
+
+
+@st.composite
+def systems_with_infinite_costs(draw):
+    """A random system whose sets may cost ``inf`` (never picked by the
+    greedy partial)."""
+    system = draw(set_systems())
+    infinite = draw(
+        st.lists(st.booleans(), min_size=system.n_sets,
+                 max_size=system.n_sets)
+    )
+    return SetSystem.from_iterables(
+        system.n_elements,
+        [ws.benefit for ws in system.sets],
+        [math.inf if flag else ws.cost
+         for ws, flag in zip(system.sets, infinite)],
+    )
 
 
 def _run_both(fn, system, **kwargs):
@@ -94,6 +113,31 @@ class TestSolverBackendEquivalence:
         )
         _assert_identical(set_result, by_backend)
 
+    @settings(max_examples=80, deadline=None)
+    @given(systems_with_infinite_costs(), ks, fractions)
+    def test_greedy_partial_identical(self, system, k, s_hat):
+        set_result, by_backend = _run_both(
+            greedy_partial, system, k=k, s_hat=s_hat
+        )
+        _assert_identical(set_result, by_backend)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        set_systems(),
+        ks,
+        fractions,
+        st.integers(0, 3),
+        # A tiny alpha rounds to nothing, so the greedy repair does the
+        # whole cover.
+        st.sampled_from([1e-9, 0.5, 2.0]),
+    )
+    def test_lp_rounding_identical(self, system, k, s_hat, seed, alpha):
+        set_result, by_backend = _run_both(
+            lp_rounding, system, k=k, s_hat=s_hat, trials=3, alpha=alpha,
+            seed=seed,
+        )
+        _assert_identical(set_result, by_backend)
+
 
 class TestTrackerStepEquivalence:
     @settings(max_examples=60, deadline=None)
@@ -104,11 +148,7 @@ class TestTrackerStepEquivalence:
         with the same counters."""
         set_metrics = Metrics()
         set_tracker = MarginalTracker(system, metrics=set_metrics)
-        others = [BitsetMarginalTracker(system, metrics=Metrics())]
-        if HAVE_NUMPY:
-            from repro.core.packed import PackedMarginalTracker
-
-            others.append(PackedMarginalTracker(system, metrics=Metrics()))
+        others = [PackedMarginalTracker(system, metrics=Metrics())]
         ids = [rng.randrange(system.n_sets) for _ in range(6)]
         for set_id in ids:
             newly = set_tracker.select(set_id)

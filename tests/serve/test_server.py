@@ -117,11 +117,11 @@ class TestBackendAndShardKnobs(TestBuildSolveRequest):
             self.payload(
                 random_system,
                 backend="packed",
-                options={"backend": "bitset"},
+                options={"backend": "set"},
             ),
             self.config(),
         )
-        assert request.options["backend"] == "bitset"
+        assert request.options["backend"] == "set"
 
     def test_unknown_backend_rejected(self, random_system):
         with pytest.raises(ValidationError):
@@ -217,6 +217,15 @@ class TestEndpoints:
         # The accept loop is untouched: a healthy request still works.
         code, _, _ = server.post("/solve", solve_body())
         assert code == 200
+
+    @pytest.mark.parametrize(
+        "knob", [{"backend": "bitset"}, {"options": {"backend": "bitset"}}]
+    )
+    def test_retired_bitset_backend_400(self, make_server, solve_body, knob):
+        server = make_server()
+        code, body, _ = server.post("/solve", solve_body(**knob), timeout=10)
+        assert code == 400
+        assert "backend" in body["error"]
 
     def test_bad_schema_400(self, make_server, solve_body):
         server = make_server()
